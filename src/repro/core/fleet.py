@@ -30,11 +30,15 @@ growing ``nmax``, mirroring per-lane freezing one level up.
 
 from __future__ import annotations
 
+import os
+from typing import NamedTuple
+
 import numpy as np
 
 from repro import obs
 from repro.backend import require_numpy_backend
 from repro.bayes.grid_posterior import GridPosterior
+from repro.bayes.joint import JointPosterior
 from repro.bayes.nint import (
     integration_limits_from_posterior,
     log_posterior_matrix,
@@ -62,6 +66,7 @@ from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.data.fleet import pack_grouped, pack_times
 from repro.exceptions import ConvergenceError, TruncationError
 from repro.stats.gamma_dist import GammaDistribution
+from repro.stats.mixtures import gamma_mixture_ppf_rows
 from repro.stats.quadrature import TensorGrid
 from repro.stats.special import (
     digamma,
@@ -88,6 +93,14 @@ class FleetResult:
     paying a thousand posteriors' construction cost when the caller
     only wants a few of them (or only the diagnostics).
 
+    VB2 and VB1 fleets without a variance correction keep each
+    dataset's mixture as packed arrays, and :meth:`means`,
+    :meth:`quantile_batch`, :meth:`credible_intervals` and
+    :meth:`expected_total_faults` answer from those arrays directly —
+    bit-identical to the scalar posterior's methods, without building
+    one. Sandwich-corrected and NINT fleets go through the posterior
+    objects.
+
     Attributes
     ----------
     method_name:
@@ -101,12 +114,16 @@ class FleetResult:
         NINT which has no bound).
     """
 
-    def __init__(self, method_name, builders, diagnostics, elbos):
+    def __init__(self, method_name, builders, diagnostics, elbos,
+                 mixtures=None):
         self.method_name = method_name
         self._builders = list(builders)
         self.diagnostics = list(diagnostics)
         self.elbos = list(elbos)
         self._cache: dict[int, object] = {}
+        # One _Mixture per dataset, or None for the posterior-object path.
+        self._mixtures = mixtures
+        self._groups: list[_ComponentGroup] | None = None
 
     def __len__(self) -> int:
         return len(self._builders)
@@ -121,44 +138,215 @@ class FleetResult:
         """All posteriors, materialising any not yet built."""
         return [self.posterior(i) for i in range(len(self))]
 
+    def _component_groups(self) -> list["_ComponentGroup"]:
+        """Datasets stacked into one ``(datasets, K)`` block per
+        component count ``K`` (built once, shared by every functional)."""
+        if self._groups is None:
+            by_k: dict[int, list[int]] = {}
+            for i, mix in enumerate(self._mixtures):
+                by_k.setdefault(mix.n.size, []).append(i)
+            self._groups = [
+                _ComponentGroup(members, [self._mixtures[i] for i in members])
+                for members in by_k.values()
+            ]
+        return self._groups
+
     def means(self, param: str) -> np.ndarray:
         """Marginal posterior mean of ``param`` per dataset."""
-        return np.array(
-            [self.posterior(i).mean(param) for i in range(len(self))]
-        )
+        if self._mixtures is None:
+            return np.array(
+                [self.posterior(i).mean(param) for i in range(len(self))]
+            )
+        JointPosterior._check_param(param)
+        out = np.empty(len(self))
+        for group in self._component_groups():
+            a, b = group.params[param]
+            # In-order accumulation: the scalar mean is a left-to-right
+            # Python sum of w_k * (a_k / b_k).
+            terms = group.mixture_weights * (a / b)
+            out[group.indices] = np.add.accumulate(terms, axis=1)[:, -1]
+        return out
 
     def quantile_batch(self, param: str, q) -> np.ndarray:
-        """``(datasets, len(q))`` marginal quantiles — each dataset's
-        levels solve in one vectorized bisection."""
+        """``(datasets, len(q))`` marginal quantiles."""
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        return np.vstack(
-            [
-                np.asarray(self.posterior(i).quantile_batch(param, q))
-                for i in range(len(self))
-            ]
-        )
+        if self._mixtures is None:
+            return np.vstack(
+                [
+                    np.asarray(self.posterior(i).quantile_batch(param, q))
+                    for i in range(len(self))
+                ]
+            )
+        JointPosterior._check_param(param)
+        if not np.all((q > 0.0) & (q < 1.0)):
+            bad = q[~((q > 0.0) & (q < 1.0))][0]
+            raise ValueError(f"quantile level must be in (0, 1), got {bad}")
+        return self._quantile_rows(param, q)
 
     def credible_intervals(self, param: str, level: float = 0.95) -> np.ndarray:
         """``(datasets, 2)`` equal-tailed credible intervals."""
-        return np.array(
-            [
-                self.posterior(i).credible_interval(param, level)
-                for i in range(len(self))
-            ]
-        )
+        if not 0.0 < level < 1.0:
+            raise ValueError("level must be in (0, 1)")
+        tail = 0.5 * (1.0 - level)
+        return self.quantile_batch(param, np.array([tail, 1.0 - tail]))
 
     def expected_total_faults(self) -> np.ndarray:
         """``E[N]`` per dataset (VB posteriors only)."""
-        values = []
-        for i in range(len(self)):
-            posterior = self.posterior(i)
-            fn = getattr(posterior, "expected_total_faults", None)
-            if fn is None:
-                raise AttributeError(
-                    f"{type(posterior).__name__} has no expected_total_faults"
-                )
-            values.append(fn())
-        return np.array(values)
+        if self._mixtures is None:
+            values = []
+            for i in range(len(self)):
+                posterior = self.posterior(i)
+                fn = getattr(posterior, "expected_total_faults", None)
+                if fn is None:
+                    raise AttributeError(
+                        f"{type(posterior).__name__} has no "
+                        f"expected_total_faults"
+                    )
+                values.append(fn())
+            return np.array(values)
+        out = np.empty(len(self))
+        for group in self._component_groups():
+            # np.dot per row, as VBPosterior.expected_total_faults: a
+            # BLAS dot product has no row-batched equivalent that keeps
+            # its accumulation order.
+            out[group.indices] = [
+                np.dot(w, n) for w, n in zip(group.posterior_weights, group.n)
+            ]
+        return out
+
+    def _quantile_rows(self, param: str, levels: np.ndarray) -> np.ndarray:
+        """Every (dataset, level) pair as one row of the row-batched
+        gamma-mixture kernel. Each ``K`` group's datasets split into one
+        chunk per available core; rows are independent, so the answer
+        does not depend on the split."""
+        count = levels.size
+        out = np.empty((len(self), count))
+        if count == 0:
+            return out
+        groups = self._component_groups()
+        workers = _available_workers()
+        with obs.span(
+            "fleet.intervals", datasets=len(self), lanes=len(self) * count,
+            k_groups=len(groups),
+        ) as sp:
+            chunks, group_slices = [], []
+            for group in groups:
+                a, b = group.params[param]
+                size = group.indices.size
+                parts = max(1, min(workers, size, size * count // _MIN_CHUNK_ROWS))
+                first = len(chunks)
+                for pos in np.array_split(np.arange(size), parts):
+                    chunks.append((
+                        group.indices[pos], a[pos], b[pos],
+                        group.mixture_weights[pos], levels,
+                    ))
+                group_slices.append(slice(first, len(chunks)))
+            results = _map_chunks(_quantile_chunk, chunks, workers)
+            iterations = 0
+            for sl in group_slices:
+                # A group's serial sweep count is its slowest row's, so
+                # the maximum over its chunks is the same for any split.
+                iterations += max(sweeps for _, sweeps in results[sl])
+            for chunk, (quantiles, _) in zip(chunks, results):
+                out[chunk[0]] = quantiles.reshape(-1, count)
+            if getattr(sp, "attrs", None) is not None:
+                sp.attrs["bisection_iterations"] = iterations
+                if obs.active().debug:
+                    sp.attrs["workers"] = min(workers, len(chunks))
+        return out
+
+
+#: Fewest quantile rows worth handing to a thread of their own.
+_MIN_CHUNK_ROWS = 64
+
+
+def _available_workers() -> int:
+    """Cores this process may run on (its CPU affinity)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, chunks: list, workers: int) -> list:
+    """``[fn(*c) for c in chunks]``, on a thread pool when it pays.
+
+    The gamma-function ufuncs inside each chunk release the GIL, so
+    threads run the chunks on separate cores.
+    """
+    if min(workers, len(chunks)) <= 1:
+        return [fn(*chunk) for chunk in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        return list(pool.map(lambda chunk: fn(*chunk), chunks))
+
+
+def _quantile_chunk(indices, a, b, weights, levels):
+    """Quantiles of one chunk of a ``K`` group at every level: one
+    kernel row per (dataset, level), dataset-major."""
+    count = levels.size
+    return gamma_mixture_ppf_rows(
+        np.repeat(a, count, axis=0),
+        np.repeat(b, count, axis=0),
+        np.repeat(weights, count, axis=0),
+        np.tile(levels, indices.size),
+        row_labels=[f"dataset {i}" for i in np.repeat(indices, count)],
+    )
+
+
+class _Mixture(NamedTuple):
+    """One VB dataset's posterior as packed arrays: the latent-count
+    support, the fit's mixture weights and the per-``N`` gamma
+    parameters of ω and β."""
+
+    n: np.ndarray
+    weights: np.ndarray
+    a_omega: np.ndarray
+    b_omega: np.ndarray
+    a_beta: np.ndarray
+    b_beta: np.ndarray
+
+    def posterior(self, method_name, elbo, diagnostics) -> VBPosterior:
+        return VBPosterior(
+            n_values=self.n,
+            weights=self.weights,
+            omega_components=_gammas(self.a_omega, self.b_omega),
+            beta_components=_gammas(self.a_beta, self.b_beta),
+            method_name=method_name,
+            elbo=elbo,
+            diagnostics=diagnostics,
+        )
+
+
+def _gammas(shapes, rates) -> list[GammaDistribution]:
+    return [GammaDistribution(float(a), float(b)) for a, b in zip(shapes, rates)]
+
+
+class _ComponentGroup:
+    """Datasets sharing one component count ``K``, stacked row-wise.
+
+    The weights replay the scalar path's two normalisations —
+    ``VBPosterior.__init__`` and then ``MixtureDistribution.__init__``
+    — row by row. A row's ``sum(axis=1)`` is the same pairwise sum as
+    the 1-D ``sum()`` of that dataset alone, so both weight sets are
+    bit-identical to the posterior object's.
+    """
+
+    __slots__ = ("indices", "n", "posterior_weights", "mixture_weights",
+                 "params")
+
+    def __init__(self, indices, mixtures) -> None:
+        self.indices = np.asarray(indices, dtype=np.intp)
+        n, weights, a_omega, b_omega, a_beta, b_beta = (
+            np.stack(field) for field in zip(*mixtures)
+        )
+        self.n = n
+        self.posterior_weights = weights / weights.sum(axis=1, keepdims=True)
+        self.mixture_weights = self.posterior_weights / (
+            self.posterior_weights.sum(axis=1, keepdims=True)
+        )
+        self.params = {"omega": (a_omega, b_omega), "beta": (a_beta, b_beta)}
 
 
 def _per_dataset(value, count: int, name: str) -> list:
@@ -200,7 +388,6 @@ class _Vb2State:
         "index", "data", "prior", "alpha0", "stats", "observed", "kind",
         "nmax_fixed", "bound", "clamped", "growth_rounds", "warm",
         "gpos", "lanes_done", "last_n", "_parts",
-        "n", "a_omega", "b_omega", "a_beta", "b_beta",
     )
 
     def __init__(self, index, data, prior, alpha0, nmax, config, warm=None):
@@ -263,7 +450,6 @@ class _Vb2State:
         self.lanes_done = 0
         self.last_n = -1
         self._parts: list = []
-        self.n = None
 
     def extend(self, sols, sl: slice) -> None:
         self._parts.append((sols, sl))
@@ -272,30 +458,6 @@ class _Vb2State:
 
     def log_w_parts(self) -> list:
         return [sols.log_weight[sl] for sols, sl in self._parts]
-
-    def iteration_parts(self) -> list:
-        return [sols.iterations[sl] for sols, sl in self._parts]
-
-    def materialize(self) -> None:
-        """Materialise the flat per-``N`` component arrays. Deferred to
-        the lazy posterior builder: the fleet fit itself only reads the
-        log-weights, so a thousand-dataset sweep never concatenates the
-        other fields for posteriors nobody asks for."""
-        if self.n is not None:
-            return
-        if len(self._parts) == 1:
-            sols, sl = self._parts[0]
-            self.n = sols.n[sl]
-            self.a_omega = sols.a_omega[sl]
-            self.b_omega = sols.b_omega[sl]
-            self.a_beta = sols.a_beta[sl]
-            self.b_beta = sols.b_beta[sl]
-            return
-        self.n = np.concatenate([s.n[sl] for s, sl in self._parts])
-        self.a_omega = np.concatenate([s.a_omega[sl] for s, sl in self._parts])
-        self.b_omega = np.concatenate([s.b_omega[sl] for s, sl in self._parts])
-        self.a_beta = np.concatenate([s.a_beta[sl] for s, sl in self._parts])
-        self.b_beta = np.concatenate([s.b_beta[sl] for s, sl in self._parts])
 
     def post_round(self, config: VBConfig, tail: float) -> bool:
         """The scalar fit's post-solve growth decision for one round.
@@ -523,26 +685,13 @@ def _drive_vb2_group(states, kind, alpha0, config, heartbeat):
         active = remaining
 
 
-def _vb2_builder(state, weights, elbo, diagnostics, config):
+def _vb_builder(method_name, mixture, elbo, diagnostics, sandwich):
+    """Lazy posterior constructor; ``sandwich`` is ``(data, alpha0)``
+    when the fleet applies the sandwich variance correction."""
     def build():
-        state.materialize()
-        posterior = VBPosterior(
-            n_values=[int(v) for v in state.n],
-            weights=weights,
-            omega_components=[
-                GammaDistribution(float(a), float(b))
-                for a, b in zip(state.a_omega, state.b_omega)
-            ],
-            beta_components=[
-                GammaDistribution(float(a), float(b))
-                for a, b in zip(state.a_beta, state.b_beta)
-            ],
-            method_name="VB2",
-            elbo=elbo,
-            diagnostics=diagnostics,
-        )
-        if config.variance_correction == "sandwich":
-            return apply_sandwich(posterior, state.data, alpha0=state.alpha0)
+        posterior = mixture.posterior(method_name, elbo, diagnostics)
+        if sandwich is not None:
+            return apply_sandwich(posterior, sandwich[0], alpha0=sandwich[1])
         return posterior
 
     return build
@@ -616,7 +765,8 @@ def fit_vb2_fleet(
         for (kind, a0), members in groups.items():
             _drive_vb2_group(members, kind, a0, config, heartbeat)
 
-        builders, diags, elbos = [], [], []
+        builders, diags, elbos, mixtures = [], [], [], []
+        sandwich = config.variance_correction == "sandwich"
         total_lanes = 0
         total_iterations = 0
         total_growth = 0
@@ -627,15 +777,36 @@ def fit_vb2_fleet(
         sizes = np.array([st.lanes_done for st in states], dtype=np.intp)
         stops = np.cumsum(sizes)
         starts = stops - sizes
-        flat = np.concatenate([p for st in states for p in st.log_w_parts()])
-        log_norms = log_sum_exp_stream(flat, starts)
-        flat_weights = np.exp(flat - np.repeat(log_norms, sizes))
-        iter_sums = np.add.reduceat(
-            np.concatenate(
-                [p for st in states for p in st.iteration_parts()]
-            ),
-            starts,
+        # Each dataset's lanes are slices of the sweeps' solution arrays.
+        # One gather index, built once, lays them out dataset by dataset
+        # for every field; the rounds themselves only read log-weights.
+        pieces = [piece for st in states for piece in st._parts]
+        sweeps = list({id(sols): sols for sols, _ in pieces}.values())
+        sweep_base, offset = {}, 0
+        for sols in sweeps:
+            sweep_base[id(sols)] = offset
+            offset += sols.n.size
+        piece_start = np.array(
+            [sweep_base[id(sols)] + sl.start for sols, sl in pieces],
+            dtype=np.intp,
         )
+        piece_size = np.array([sl.stop - sl.start for _, sl in pieces],
+                              dtype=np.intp)
+        out_start = np.cumsum(piece_size) - piece_size
+        gather = np.arange(int(stops[-1])) + np.repeat(
+            piece_start - out_start, piece_size
+        )
+
+        def flat(name):
+            return np.concatenate([getattr(sols, name) for sols in sweeps])[gather]
+
+        log_w = flat("log_weight")
+        log_norms = log_sum_exp_stream(log_w, starts)
+        flat_weights = np.exp(log_w - np.repeat(log_norms, sizes))
+        iter_sums = np.add.reduceat(flat("iterations"), starts)
+        components = [
+            flat(name) for name in ("n", "a_omega", "b_omega", "a_beta", "b_beta")
+        ]
         # The prior normalisers and log Γ(α0) in the ELBO constant are
         # shared fleet-wide in the common case; cache them per distinct
         # object/value with the same expressions `elbo_constant` uses.
@@ -675,7 +846,15 @@ def fit_vb2_fleet(
                 "warm_started": st.warm is not None,
                 "backend": "numpy",
             }
-            builders.append(_vb2_builder(st, weights, elbo, diagnostics, config))
+            n, a_omega, b_omega, a_beta, b_beta = (
+                field[starts[k]:stops[k]] for field in components
+            )
+            mixture = _Mixture(n, weights, a_omega, b_omega, a_beta, b_beta)
+            builders.append(_vb_builder(
+                "VB2", mixture, elbo, diagnostics,
+                (st.data, st.alpha0) if sandwich else None,
+            ))
+            mixtures.append(mixture)
             diags.append(diagnostics)
             elbos.append(elbo)
             total_lanes += st.lanes_done
@@ -693,7 +872,9 @@ def fit_vb2_fleet(
                 growth_rounds=total_growth,
                 residual=max_tail,
             )
-    return FleetResult("VB2", builders, diags, elbos)
+    return FleetResult(
+        "VB2", builders, diags, elbos, None if sandwich else mixtures
+    )
 
 
 # ----------------------------------------------------------------------
@@ -745,6 +926,7 @@ def fit_vb1_fleet(
                 f"one gamma shape"
             )
 
+    sandwich = config.variance_correction == "sandwich"
     with obs.span("fleet.vb1.fit", datasets=count):
         heartbeat = obs.Heartbeat("fleet.vb1.datasets", count)
         groups: dict = {}
@@ -753,6 +935,7 @@ def fit_vb1_fleet(
         builders = [None] * count
         diags = [None] * count
         elbos = [None] * count
+        mixtures = [None] * count
         total_outer = 0
         for a0, members in groups.items():
             results = _fit_vb1_group(
@@ -760,8 +943,12 @@ def fit_vb1_fleet(
                 [priors[i] for i in members], a0, config, heartbeat,
                 [warms[i] for i in members],
             )
-            for i, (builder, diagnostics, elbo) in zip(members, results):
-                builders[i] = builder
+            for i, (mixture, diagnostics, elbo) in zip(members, results):
+                builders[i] = _vb_builder(
+                    "VB1", mixture, elbo, diagnostics,
+                    (datasets[i], a0) if sandwich else None,
+                )
+                mixtures[i] = mixture
                 diags[i] = diagnostics
                 elbos[i] = elbo
                 total_outer += diagnostics["iterations"]
@@ -770,7 +957,9 @@ def fit_vb1_fleet(
             obs.fit_health(
                 "VB1_FLEET", datasets=count, iterations=total_outer
             )
-    return FleetResult("VB1", builders, diags, elbos)
+    return FleetResult(
+        "VB1", builders, diags, elbos, None if sandwich else mixtures
+    )
 
 
 def _fit_vb1_group(indices, group_data, group_priors, alpha0, config,
@@ -975,34 +1164,13 @@ def _fit_vb1_group(indices, group_data, group_priors, alpha0, config,
             "data_kind": type(data).__name__,
             "warm_started": group_warms[pos] is not None,
         }
-        results.append((
-            _vb1_builder(
-                data, q_omega, q_beta, float(expected_n[pos]),
-                elbo, diagnostics, alpha0, config,
-            ),
-            diagnostics,
-            elbo,
-        ))
-    return results
-
-
-def _vb1_builder(data, q_omega, q_beta, expected_n, elbo, diagnostics,
-                 alpha0, config):
-    def build():
-        posterior = VBPosterior(
-            n_values=[expected_n],
-            weights=[1.0],
-            omega_components=[q_omega],
-            beta_components=[q_beta],
-            method_name="VB1",
-            elbo=elbo,
-            diagnostics=diagnostics,
+        mixture = _Mixture(
+            np.array([float(expected_n[pos])]), np.ones(1),
+            np.array([q_omega.shape]), np.array([q_omega.rate]),
+            np.array([q_beta.shape]), np.array([q_beta.rate]),
         )
-        if config.variance_correction == "sandwich":
-            return apply_sandwich(posterior, data, alpha0=alpha0)
-        return posterior
-
-    return build
+        results.append((mixture, diagnostics, elbo))
+    return results
 
 
 # ----------------------------------------------------------------------

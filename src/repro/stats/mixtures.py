@@ -43,6 +43,7 @@ from repro.stats.rootfind import (
 __all__ = [
     "MixtureDistribution",
     "MixtureComponent",
+    "gamma_mixture_ppf_rows",
     "mixture_cdf_grid",
     "mixture_pdf_grid",
     "mixture_ppf_batch",
@@ -104,6 +105,60 @@ def mixture_ppf_batch(
         rtol=rtol,
         max_iter=max_iter,
     )
+
+
+def _gamma_mixture_cdf(a, b, weights, x: np.ndarray) -> np.ndarray:
+    """NumPy gamma-mixture CDF at flat ``x``: row ``i`` is the mixture
+    of the components ``a[i], b[i]`` (or the shared 1-D ``a, b``).
+
+    The weighted reduction uses per-row pairwise summation (not a BLAS
+    matvec), so a row's value is bit-identical whatever other rows
+    share the call.
+    """
+    clipped = np.clip(x, 0.0, None)[:, None]
+    return (sc.gammainc(a, b * clipped) * weights).sum(axis=1)
+
+
+def gamma_mixture_ppf_rows(
+    a: np.ndarray,
+    b: np.ndarray,
+    weights: np.ndarray,
+    levels: np.ndarray,
+    *,
+    row_labels: Sequence[str] | None = None,
+) -> tuple[np.ndarray, int]:
+    """Row-batched gamma-mixture quantiles (NumPy): row ``r`` inverts
+    the mixture ``Σ_k weights[r, k] Gamma(a[r, k], b[r, k])`` at
+    ``levels[r]``.
+
+    ``a``, ``b`` and ``weights`` are ``(rows, K)`` arrays and the
+    weights are used as given (already normalised). This is the one
+    implementation of the gamma-mixture inversion: a single
+    :class:`MixtureDistribution` calls it with its own components
+    repeated once per level, a fleet with one row per (dataset, level).
+    Each row's CDF reduces with its own pairwise ``sum(axis=1)`` and
+    :func:`bisect_increasing_batch` moves every lane independently, so
+    a row's quantile is bit-identical whatever rows share the call.
+
+    Returns the quantiles and the number of lock-step bisection sweeps
+    (the iteration count of the slowest row). ``row_labels`` names the
+    rows in a :class:`~repro.exceptions.ConvergenceError`.
+    """
+    comp_q = sc.gammaincinv(a, levels[:, None]) / b
+    lo = comp_q.min(axis=1)
+    # Degenerate brackets (single component, or coincident component
+    # quantiles) are pinned by the batch bisection at lo == hi.
+    hi = np.maximum(comp_q.max(axis=1), lo)
+    calls = 0
+
+    def excess(x: np.ndarray) -> np.ndarray:
+        nonlocal calls
+        calls += 1
+        return _gamma_mixture_cdf(a, b, weights, x) - levels
+
+    quantiles = bisect_increasing_batch(excess, lo, hi, lane_labels=row_labels)
+    # The two bracket-edge evaluations precede the sweeps.
+    return quantiles, max(calls - 2, 0)
 
 
 class MixtureComponent(Protocol):
@@ -276,15 +331,8 @@ class MixtureDistribution:
         return out
 
     def _cdf_grid(self, x: np.ndarray) -> np.ndarray:
-        """Gamma fast path: CDF at flat ``x`` via one broadcast.
-
-        The weighted reduction uses per-row pairwise summation (not a
-        BLAS matvec) so a point's CDF value is bit-identical whether it
-        is evaluated alone or inside a batch — which keeps the batched
-        and scalar quantile inversions on identical bisection paths.
-        """
-        clipped = np.clip(x, 0.0, None)[:, None]
-        return (sc.gammainc(self._a, self._b * clipped) * self._weights).sum(axis=1)
+        """Gamma fast path: CDF at flat ``x`` via one broadcast."""
+        return _gamma_mixture_cdf(self._a, self._b, self._weights, x)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density."""
@@ -376,16 +424,16 @@ class MixtureDistribution:
         return out
 
     def _ppf_batch(self, levels: np.ndarray) -> np.ndarray:
-        """Vectorized simultaneous quantile inversion (gamma path)."""
-        comp_q = sc.gammaincinv(self._a, levels[:, None]) / self._b
-        lo = comp_q.min(axis=1)
-        hi = comp_q.max(axis=1)
-        # Degenerate brackets (single component, or coincident component
-        # quantiles) are pinned by the batch bisection at lo == hi.
-        hi = np.maximum(hi, lo)
-        return bisect_increasing_batch(
-            lambda x: self._cdf_grid(x) - levels, lo, hi
+        """Vectorized simultaneous quantile inversion (gamma path): the
+        one-mixture call of :func:`gamma_mixture_ppf_rows`."""
+        shape = (levels.size, self._a.size)
+        quantiles, _ = gamma_mixture_ppf_rows(
+            np.broadcast_to(self._a, shape),
+            np.broadcast_to(self._b, shape),
+            np.broadcast_to(self._weights, shape),
+            levels,
         )
+        return quantiles
 
     def _ppf_generic(self, q: float) -> float:
         """Scalar quantile for non-gamma component families."""

@@ -128,6 +128,7 @@ def bisect_increasing_batch(
     xtol: float = 1e-12,
     rtol: float = 1e-10,
     max_iter: int = 200,
+    lane_labels: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Solve many independent monotone root problems simultaneously.
 
@@ -138,7 +139,9 @@ def bisect_increasing_batch(
     ``[lo[i], hi[i]]`` — a converged lane freezes while the rest keep
     bisecting, which keeps the per-lane results interchangeable with
     the scalar routine. Degenerate brackets (``lo[i] == hi[i]``) pin
-    the root at the shared endpoint.
+    the root at the shared endpoint. ``lane_labels`` (optional, one
+    string per lane) names the lanes in error messages instead of their
+    positions.
 
     Raises
     ------
@@ -161,6 +164,10 @@ def bisect_increasing_batch(
     if np.any(hi < lo):
         bad = int(np.argmax(hi < lo))
         raise ValueError(f"invalid bracket in lane {bad}: lo={lo[bad]}, hi={hi[bad]}")
+
+    def name(lane: int) -> str:
+        return f"lane {lane}" if lane_labels is None else lane_labels[lane]
+
     out = np.empty_like(lo)
     out.fill(np.nan)
     frozen = lo == hi
@@ -179,7 +186,7 @@ def bisect_increasing_batch(
             lane = int(np.argmax(hard))
             raise ConvergenceError(
                 f"bisect_increasing_batch: f(lo)={f_lo[lane]:.3g} > 0 "
-                f"at lo={lo[lane]:.6g} (lane {lane})"
+                f"at lo={lo[lane]:.6g} ({name(lane)})"
             )
     bad_hi = ~frozen & (f_hi < 0.0)
     if np.any(bad_hi):
@@ -191,7 +198,7 @@ def bisect_increasing_batch(
             lane = int(np.argmax(hard))
             raise ConvergenceError(
                 f"bisect_increasing_batch: f(hi)={f_hi[lane]:.3g} < 0 "
-                f"at hi={hi[lane]:.6g} (lane {lane})"
+                f"at hi={hi[lane]:.6g} ({name(lane)})"
             )
     for _ in range(max_iter):
         if frozen.all():
@@ -213,7 +220,8 @@ def bisect_increasing_batch(
         raise _divergence_error(
             f"bisect_increasing_batch: {int(open_lanes.sum())} of "
             f"{lo.size} lanes did not converge within {max_iter} "
-            f"iterations (widest remaining bracket {width:.3e})",
+            f"iterations, first {name(int(np.argmax(open_lanes)))} "
+            f"(widest remaining bracket {width:.3e})",
             iterations=max_iter,
             width=width,
             lanes=int(open_lanes.sum()),

@@ -263,3 +263,152 @@ class TestFleetResult:
         assert list(fleet.expected_total_faults()) == [
             s.expected_total_faults() for s in scalars
         ]
+
+
+LEVELS = np.array([0.005, 0.025, 0.5, 0.975, 0.995])
+
+
+def assert_functionals_match(fleet, scalars):
+    """The fleet's array functionals equal the scalar posteriors' methods
+    exactly, and answering them builds no posterior object."""
+    for param in ("omega", "beta"):
+        table = fleet.quantile_batch(param, LEVELS)
+        intervals = fleet.credible_intervals(param, 0.99)
+        means = fleet.means(param)
+        for i, scalar in enumerate(scalars):
+            assert list(table[i]) == list(scalar.quantile_batch(param, LEVELS))
+            assert tuple(intervals[i]) == scalar.credible_interval(param, 0.99)
+            assert means[i] == scalar.mean(param)
+    assert list(fleet.expected_total_faults()) == [
+        s.expected_total_faults() for s in scalars
+    ]
+    assert fleet._cache == {}
+
+
+class TestArrayFunctionals:
+    def test_ragged_component_counts(self, portfolio, prior):
+        config = VBConfig(nmax_initial=4, tail_tolerance=1e-13)
+        nmaxes = [None, 70, None, 90, None, None, 60, None, None]
+        fleet = fit_vb2_fleet(portfolio, prior, 1.0, config, nmax=nmaxes)
+        scalars = [
+            fit_vb2(d, prior, 1.0, config, nmax=nmaxes[i])
+            for i, d in enumerate(portfolio)
+        ]
+        assert any(s.diagnostics["n_growth_rounds"] > 0 for s in scalars)
+        assert len(fleet._component_groups()) > 2
+        assert_functionals_match(fleet, scalars)
+
+    def test_mixed_kinds_and_two_alpha0(self, portfolio, prior):
+        alphas = ([1.0, 2.0] * 5)[: len(portfolio)]
+        fleet = fit_vb2_fleet(portfolio, prior, alphas)
+        scalars = [
+            fit_vb2(d, prior, alphas[i]) for i, d in enumerate(portfolio)
+        ]
+        assert_functionals_match(fleet, scalars)
+
+    def test_vb1_fleet(self, portfolio, prior):
+        alphas = [1.0, 2.0, 1.0] * 3
+        fleet = fit_vb1_fleet(portfolio, prior, alphas)
+        scalars = [fit_vb1(d, prior, a) for d, a in zip(portfolio, alphas)]
+        assert_functionals_match(fleet, scalars)
+
+    def test_sandwich_fleet_falls_back(self, portfolio, prior):
+        config = VBConfig(variance_correction="sandwich")
+        fleet = fit_vb2_fleet(portfolio[:3], prior, 1.0, config)
+        assert fleet._mixtures is None
+        intervals = fleet.credible_intervals("omega", 0.9)
+        means = fleet.means("beta")
+        for i, data in enumerate(portfolio[:3]):
+            scalar = fit_vb2(data, prior, 1.0, config)
+            assert tuple(intervals[i]) == scalar.credible_interval("omega", 0.9)
+            assert means[i] == scalar.mean("beta")
+
+    def test_worker_count_does_not_change_results(
+        self, portfolio, prior, monkeypatch
+    ):
+        import os
+
+        from repro import obs
+        from repro.core import fleet as fleet_module
+
+        monkeypatch.setattr(fleet_module, "_MIN_CHUNK_ROWS", 1)
+        fleet = fit_vb2_fleet(portfolio, prior, 1.0)
+        runs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=cores: set(range(n))
+            )
+            with obs.capture() as summary:
+                table = fleet.quantile_batch("beta", LEVELS)
+            with obs.capture(level="debug") as debug:
+                fleet.quantile_batch("beta", LEVELS)
+            (span,) = [
+                e for e in debug.events if e.get("name") == "fleet.intervals"
+            ]
+            runs[cores] = (table, summary.events, span["workers"])
+        assert np.array_equal(runs[1][0], runs[2][0])
+        assert runs[1][1] == runs[2][1]
+        assert (runs[1][2], runs[2][2]) == (1, 2)
+        (span,) = runs[1][1]
+        assert span["name"] == "fleet.intervals"
+        assert span["datasets"] == len(portfolio)
+        assert span["lanes"] == len(portfolio) * LEVELS.size
+        assert span["bisection_iterations"] > 0
+        assert "workers" not in span
+
+    def test_failed_bracket_names_dataset(self, portfolio, prior, monkeypatch):
+        from repro.backend import special
+        from repro.stats import mixtures
+
+        fleet = fit_vb2_fleet(portfolio[:4], prior, 1.0)
+        bad = fleet.posterior(2).marginal("omega")
+        bad_shapes = np.array([c.shape for c in bad.components])
+
+        class Special:
+            """The real special functions, with dataset 2's component
+            quantiles pushed far above its mixture quantile."""
+
+            def __getattr__(self, name):
+                return getattr(special, name)
+
+            @staticmethod
+            def gammaincinv(a, q):
+                out = special.gammaincinv(a, q)
+                if a.shape[1] == bad_shapes.size:
+                    out[np.all(a == bad_shapes, axis=1)] *= 3.0
+                return out
+
+        monkeypatch.setattr(mixtures, "sc", Special())
+        with pytest.raises(ConvergenceError, match=r"\(dataset 2\)"):
+            fleet.credible_intervals("omega", 0.9)
+
+
+def test_cli_fleet_builds_no_posterior(portfolio, tmp_path, capsys, monkeypatch):
+    import json
+
+    from repro.cli import main
+    from repro.core.posterior import VBPosterior
+    from repro.data.io import save_failure_times_csv, save_grouped_csv
+
+    names = []
+    for i, data in enumerate(portfolio[4:6]):
+        names.append(f"d{i}.csv")
+        if i == 0:
+            save_failure_times_csv(data, tmp_path / names[-1])
+        else:
+            save_grouped_csv(data, tmp_path / names[-1])
+    manifest = tmp_path / "fleet.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"path": names[0], "kind": "times", "horizon": portfolio[4].horizon},
+        {"path": names[1], "kind": "grouped"},
+    ]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fleet CLI built a posterior object")
+
+    monkeypatch.setattr(VBPosterior, "__init__", refuse)
+    assert main(["fit", "--fleet", str(manifest), "--omega-mean", "30",
+                 "--omega-std", "10", "--beta-mean", "0.01",
+                 "--beta-std", "0.005"]) == 0
+    out = capsys.readouterr().out
+    assert "fleet: 2 datasets" in out and "[1] GroupedData" in out
