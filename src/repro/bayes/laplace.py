@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from repro import obs
 from repro.bayes.normal_posterior import NormalPosterior
@@ -66,6 +65,8 @@ def find_map(
 
     def negative(params: np.ndarray) -> float:
         return -log_post(math.exp(params[0]), math.exp(params[1]))
+
+    from scipy import optimize
 
     x0 = np.log(np.asarray(initial, dtype=float))
     result = optimize.minimize(negative, x0, method="Nelder-Mead",

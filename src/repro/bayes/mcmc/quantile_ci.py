@@ -11,7 +11,6 @@ coverage campaign) costs one vectorized evaluation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as st
 
 __all__ = ["quantile_coverage_interval", "sample_size_for_quantile"]
 
@@ -38,6 +37,8 @@ def quantile_coverage_interval(
         raise ValueError("p must be in (0, 1)")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    from scipy import stats as st
+
     z = float(st.norm.ppf(0.5 * (1.0 + confidence)))
     half_width = z * np.sqrt(p_arr * (1.0 - p_arr) / n_samples)
     lower = np.maximum(p_arr - half_width, 0.0)
@@ -69,6 +70,8 @@ def sample_size_for_quantile(
         raise ValueError("half_width must be positive")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    from scipy import stats as st
+
     z = float(st.norm.ppf(0.5 * (1.0 + confidence)))
     n = np.ceil(p_arr * (1.0 - p_arr) * (z / hw_arr) ** 2).astype(np.int64)
     if scalar:

@@ -14,7 +14,6 @@ import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy import stats as st
 
 from repro.bayes.joint import JointPosterior
 
@@ -101,6 +100,8 @@ class NormalPosterior(JointPosterior):
         return float(self._cov[0, 1] + self._mean[0] * self._mean[1])
 
     def quantile(self, param: str, q: float) -> float:
+        from scipy import stats as st
+
         idx = _PARAM_INDEX[self._check_param(param)]
         return float(
             st.norm.ppf(q, loc=self._mean[idx], scale=math.sqrt(self._cov[idx, idx]))
@@ -108,6 +109,8 @@ class NormalPosterior(JointPosterior):
 
     def quantile_batch(self, param: str, q: np.ndarray) -> np.ndarray:
         """All levels through one vectorized normal ppf call."""
+        from scipy import stats as st
+
         idx = _PARAM_INDEX[self._check_param(param)]
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         return np.asarray(
@@ -118,6 +121,8 @@ class NormalPosterior(JointPosterior):
         )
 
     def log_pdf_grid(self, omega: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        from scipy import stats as st
+
         omega = np.asarray(omega, dtype=float)
         beta = np.asarray(beta, dtype=float)
         mesh = np.stack(
@@ -158,6 +163,8 @@ class NormalPosterior(JointPosterior):
         r_hat, sd = self._reliability_mean_std(c)
         if sd == 0.0:
             return 0.0 if r < r_hat else 1.0
+        from scipy import stats as st
+
         return float(st.norm.cdf(r, loc=r_hat, scale=sd))
 
     def reliability_quantile(
@@ -168,6 +175,8 @@ class NormalPosterior(JointPosterior):
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
         r_hat, sd = self._reliability_mean_std(c)
+        from scipy import stats as st
+
         return float(st.norm.ppf(q, loc=r_hat, scale=sd))
 
     # ------------------------------------------------------------------
@@ -192,6 +201,8 @@ class NormalPosterior(JointPosterior):
         )
         grad = np.array([c_hat, omega_hat * dc])
         var = float(grad @ self._cov @ grad)
+        from scipy import stats as st
+
         return np.asarray(
             st.norm.ppf(
                 levels, loc=omega_hat * c_hat, scale=math.sqrt(max(var, 0.0))

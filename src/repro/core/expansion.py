@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as st
-
 from repro import obs
 from repro.bayes.joint import JointPosterior
 
@@ -71,6 +69,8 @@ def cornish_fisher_quantile(
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3 or 4")
     mean, std, skew, kurt = _standardised_cumulants(posterior, param)
+    from scipy import stats as st
+
     z = float(st.norm.ppf(q))
     w = z
     if order >= 3:

@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from repro.backend import special as sc
 
+from repro import obs
+from repro.backend import special as sc
 from repro.bayes.joint import JointPosterior
 from repro.bayes.normal_posterior import NormalPosterior
 from repro.bayes.sample_posterior import EmpiricalPosterior
@@ -32,6 +33,9 @@ from repro.core.reliability import reliability_increment
 __all__ = ["PredictiveCounts", "predict_failure_counts"]
 
 _QUAD_NODES = 48
+
+#: Counts evaluated per block of the VB predictive pmf.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,20 @@ def predict_failure_counts(
     and normal/Laplace posteriors (plug-in Poisson at the MAP, matching
     how the paper uses LAPL).
     """
-    c = reliability_increment(alpha0, te, u)
-    if isinstance(posterior, VBPosterior):
-        pmf = _vb_predictive(posterior, c, max_count, tail_eps)
-    elif isinstance(posterior, EmpiricalPosterior):
-        pmf = _sample_predictive(posterior, c, max_count, tail_eps)
-    elif isinstance(posterior, NormalPosterior):
-        pmf = _plugin_predictive(posterior, c, max_count, tail_eps)
-    else:
-        pmf = _generic_predictive(posterior, c, max_count, tail_eps)
+    with obs.span("prediction.counts", method=posterior.method_name) as sp:
+        c = reliability_increment(alpha0, te, u)
+        if isinstance(posterior, VBPosterior):
+            evaluated = _vb_predictive(posterior, c, max_count, tail_eps)
+        elif isinstance(posterior, EmpiricalPosterior):
+            evaluated = _sample_predictive(posterior, c, max_count)
+        elif isinstance(posterior, NormalPosterior):
+            evaluated = _plugin_predictive(posterior, c, max_count)
+        else:
+            evaluated = _generic_predictive(posterior, c, max_count)
+        pmf = _truncate(evaluated, tail_eps)
+        if getattr(sp, "attrs", None) is not None:
+            sp.attrs["support"] = pmf.size
+            sp.attrs["columns"] = evaluated.size
     tail = max(1.0 - float(pmf.sum()), 0.0)
     return PredictiveCounts(
         pmf=pmf,
@@ -143,8 +152,16 @@ def _poisson_pmf_matrix(means: np.ndarray, max_count: int) -> np.ndarray:
 def _vb_predictive(
     posterior: VBPosterior, c, max_count: int, tail_eps: float
 ) -> np.ndarray:
+    """The mixture pmf over ``k = 0 .. max_count``, evaluated in blocks of
+    :data:`_BLOCK` counts and stopped after the first block in which the
+    cumulative mass reaches ``1 - tail_eps``.
+
+    Returns the evaluated prefix. Each entry is the same ``w @ column``
+    over the same rows as a dense evaluation, and ``np.cumsum`` of a
+    prefix is the prefix of the ``np.cumsum``, so :func:`_truncate` keeps
+    exactly the entries it would keep from the full pmf.
+    """
     quad_w, c_values, a_omega, b_omega = posterior.reliability_tables(c)
-    k = np.arange(max_count + 1)
     # Negative binomial from Gamma(a, b) mixing of Poisson(omega * c):
     # log P(K=k) = ln C(a+k-1, k) + a ln(b/(b+c)) + k ln(c/(b+c)).
     flat_w = quad_w.ravel()
@@ -156,42 +173,41 @@ def _vb_predictive(
     if np.any(zero):
         pmf[0] += float(flat_w[zero].sum())
     pos = ~zero
-    if np.any(pos):
-        a = flat_a[pos][:, None]
-        log_odds = np.log(flat_c[pos] / (flat_b[pos] + flat_c[pos]))[:, None]
-        log_base = (flat_a * np.log(flat_b / (flat_b + flat_c)))[pos][:, None]
-        log_comb = (
-            sc.gammaln(a + k[None, :])
-            - sc.gammaln(a)
-            - sc.gammaln(k + 1.0)[None, :]
-        )
-        contributions = np.exp(log_comb + log_base + k[None, :] * log_odds)
-        pmf += flat_w[pos] @ contributions
-    return _truncate(pmf, tail_eps)
+    if not np.any(pos):
+        return pmf
+    w = flat_w[pos]
+    a = flat_a[pos][:, None]
+    log_odds = np.log(flat_c[pos] / (flat_b[pos] + flat_c[pos]))[:, None]
+    log_base = (flat_a * np.log(flat_b / (flat_b + flat_c)))[pos][:, None]
+    k = np.arange(max_count + 1)
+    gammaln_a = sc.gammaln(a)
+    gammaln_k1 = sc.gammaln(k + 1.0)
+    for lo in range(0, max_count + 1, _BLOCK):
+        hi = min(lo + _BLOCK, max_count + 1)
+        kb = k[None, lo:hi]
+        log_comb = sc.gammaln(a + kb) - gammaln_a - gammaln_k1[None, lo:hi]
+        contributions = np.exp(log_comb + log_base + kb * log_odds)
+        pmf[lo:hi] += w @ contributions
+        # The sequential cumsum that _truncate compares, not a pairwise sum.
+        if np.cumsum(pmf[:hi])[-1] >= 1.0 - tail_eps:
+            return pmf[:hi]
+    return pmf
 
 
-def _sample_predictive(
-    posterior: EmpiricalPosterior, c, max_count: int, tail_eps: float
-) -> np.ndarray:
+def _sample_predictive(posterior: EmpiricalPosterior, c, max_count: int) -> np.ndarray:
     samples = posterior.samples
     means = samples[:, 0] * np.asarray(c(samples[:, 1]), dtype=float)
-    pmf = _poisson_pmf_matrix(means, max_count).mean(axis=0)
-    return _truncate(pmf, tail_eps)
+    return _poisson_pmf_matrix(means, max_count).mean(axis=0)
 
 
-def _plugin_predictive(
-    posterior: NormalPosterior, c, max_count: int, tail_eps: float
-) -> np.ndarray:
+def _plugin_predictive(posterior: NormalPosterior, c, max_count: int) -> np.ndarray:
     omega_hat = posterior.mean("omega")
     beta_hat = posterior.mean("beta")
     mean = max(omega_hat * float(c(beta_hat)), 0.0)
-    pmf = _poisson_pmf_matrix(np.array([mean]), max_count)[0]
-    return _truncate(pmf, tail_eps)
+    return _poisson_pmf_matrix(np.array([mean]), max_count)[0]
 
 
-def _generic_predictive(
-    posterior: JointPosterior, c, max_count: int, tail_eps: float
-) -> np.ndarray:
+def _generic_predictive(posterior: JointPosterior, c, max_count: int) -> np.ndarray:
     """Fallback via sampling if the posterior supports it."""
     sample = getattr(posterior, "sample", None)
     if sample is None:
@@ -203,5 +219,4 @@ def _generic_predictive(
     draws = np.asarray(sample(20_000, rng), dtype=float)
     draws = draws[(draws[:, 0] > 0.0) & (draws[:, 1] > 0.0)]
     means = draws[:, 0] * np.asarray(c(draws[:, 1]), dtype=float)
-    pmf = _poisson_pmf_matrix(means, max_count).mean(axis=0)
-    return _truncate(pmf, tail_eps)
+    return _poisson_pmf_matrix(means, max_count).mean(axis=0)

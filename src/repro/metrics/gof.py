@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as st
 
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.models.base import NHPPModel
@@ -69,6 +68,8 @@ def laplace_trend_test(data: FailureTimeData) -> TrendTestResult:
     if n < 2:
         raise ValueError("the trend test needs at least two failures")
     statistic = (data.times.mean() / data.horizon - 0.5) * math.sqrt(12.0 * n)
+    from scipy import stats as st
+
     p_value = 2.0 * float(st.norm.sf(abs(statistic)))
     return TrendTestResult(statistic=statistic, p_value=p_value)
 
@@ -153,6 +154,8 @@ def chi_square_grouped(
     exp_arr = np.asarray(pooled_exp)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = obs_arr.size - 1 - n_estimated_params
+    from scipy import stats as st
+
     p_value = float(st.chi2.sf(statistic, dof)) if dof > 0 else math.nan
     return ChiSquareResult(
         statistic=statistic, dof=dof, p_value=p_value, n_cells=obs_arr.size

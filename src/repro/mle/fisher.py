@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as st
 
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.models.base import NHPPModel
@@ -57,5 +56,7 @@ def wald_interval(
         raise ValueError("std_error must be non-negative")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    from scipy import stats as st
+
     z = float(st.norm.ppf(0.5 * (1.0 + level)))
     return estimate - z * std_error, estimate + z * std_error

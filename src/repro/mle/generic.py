@@ -13,7 +13,6 @@ import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy import optimize
 
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.exceptions import EstimationError
@@ -71,6 +70,8 @@ def fit_mle_generic(
             return math.inf
         value = model.log_likelihood(data)
         return math.inf if math.isnan(value) else -value
+
+    from scipy import optimize
 
     x0 = np.log(np.asarray(initial, dtype=float))
     rough = optimize.minimize(

@@ -12,7 +12,6 @@ import logging
 import math
 
 import numpy as np
-from scipy import optimize
 
 from repro import obs
 from repro.data.failure_data import FailureTimeData, GroupedData
@@ -56,6 +55,8 @@ def fit_mle_newton(
             omega=math.exp(z[0]), beta=math.exp(z[1]), alpha0=alpha0
         )
         return -model.log_likelihood(data)
+
+    from scipy import optimize
 
     x0 = np.log(np.asarray(initial, dtype=float))
     with obs.span("mle.newton.fit", data=type(data).__name__):

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as st
 
 from repro.models.base import NHPPModel
 
@@ -73,6 +72,8 @@ class MLEResult:
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
         estimate = self.omega if param == "omega" else self.beta
+        from scipy import stats as st
+
         z = float(st.norm.ppf(0.5 * (1.0 + level)))
         se = self.std_error(param)
         return estimate - z * se, estimate + z * se

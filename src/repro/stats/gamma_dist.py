@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats as st
 
 from repro import backend as _backend
 from repro.backend import special as sc
 from repro.backend.core import ArrayBackend
 from repro.stats.special import log_gamma_cdf, log_gamma_sf
+
+if TYPE_CHECKING:
+    from scipy import stats as st
 
 __all__ = ["GammaDistribution", "gamma_kl_divergence", "gamma_from_uniform"]
 
@@ -321,4 +324,6 @@ class GammaDistribution:
 
     def as_scipy(self) -> st.rv_continuous:
         """Frozen :mod:`scipy.stats` equivalent (for cross-checking)."""
+        from scipy import stats as st
+
         return st.gamma(a=self.shape, scale=1.0 / self.rate)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "rank_histogram",
@@ -99,6 +98,8 @@ def chi_square_uniformity(
     reference, _ = np.histogram(all_ranks, bins=edges)
     expected = arr.size * reference / (n_ranks + 1)
     statistic = float(np.sum((counts - expected) ** 2 / expected))
+    from scipy import stats
+
     p_value = float(stats.chi2.sf(statistic, df=n_bins - 1))
     return ChiSquareUniformity(
         statistic=statistic,
